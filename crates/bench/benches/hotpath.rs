@@ -211,7 +211,7 @@ fn trace_record(rounds: usize) -> (Phase, u64) {
 /// latency histogram, depth gauge), driven through the dynamic
 /// [`Subscriber`](jsk_observe::Subscriber) handle the kernel holds. A
 /// metrics-only observer keeps the loop allocation-free after warm-up —
-/// this is the per-event cost `observe` adds when enabled.
+/// this is the per-event cost an attached observer adds.
 fn observe_hooks(rounds: u64) -> (Phase, u64, jsk_observe::MetricsSnapshot) {
     let obs = jsk_observe::Observer::new().shared();
     let handle = jsk_observe::handle_of(&obs);

@@ -275,9 +275,7 @@ fn compare_metrics(target: &str, baseline: &BenchRun, fresh: &BenchRun, out: &mu
         }
         (Some(_), None) => out.push(Finding::note(
             target,
-            "baseline carries observe metrics but fresh run has none \
-             (observe feature off?)"
-                .to_owned(),
+            "baseline carries observe metrics but fresh run has none".to_owned(),
         )),
         (None, Some(_)) => out.push(Finding::note(
             target,

@@ -305,7 +305,6 @@ pub trait Mediator {
     /// metric names here and hook their dispatch path. The default
     /// ignores the handle — a defense without instrumentation stays
     /// uninstrumented.
-    #[cfg(feature = "observe")]
     fn attach_observer(&mut self, observer: jsk_observe::ObsHandle) {
         let _ = observer;
     }

@@ -140,8 +140,8 @@ struct CompiledRule {
 /// that selector's rules with one mask-and-compare each, instead of
 /// walking every rule of every policy through the interpreted condition
 /// chain. The source [`PolicySpec`]s are kept alongside for
-/// [`policies`](PolicyEngine::policies) (linting, serialization) and as
-/// the debug-mode reference the compiled path is asserted against.
+/// [`policies`](PolicyEngine::policies) (linting, serialization) and for
+/// the interpreted reference matcher.
 #[derive(Debug, Default)]
 pub struct PolicyEngine {
     policies: Vec<PolicySpec>,
@@ -192,13 +192,7 @@ impl PolicyEngine {
     #[must_use]
     pub fn decide(&self, call: &ApiCall, threads: &ThreadManager) -> (ApiOutcome, Option<&str>) {
         let (sel, facts) = classify(call, threads);
-        let decision = self.decide_compiled(sel, &facts);
-        debug_assert_eq!(
-            decision,
-            self.decide_interpreted(sel, &facts),
-            "compiled decision tables diverged from the interpreted matcher"
-        );
-        decision
+        self.decide_compiled(sel, &facts)
     }
 
     /// The compiled fast path: scan the selector's table, first word-compare
@@ -222,8 +216,8 @@ impl PolicyEngine {
 
     /// The interpreted reference path: a linear walk of every rule through
     /// [`Condition::matches`](crate::policy::spec::Condition::matches).
-    /// Kept as the semantics the compiled tables are checked against
-    /// (`debug_assert` in [`decide`](PolicyEngine::decide), property tests).
+    /// Kept as the semantics the compiled tables are checked against by
+    /// the property tests (`crates/core/tests/policy_compile.rs`).
     #[must_use]
     pub fn decide_interpreted(
         &self,

@@ -131,8 +131,7 @@ pub const KIND_SLOTS: usize = 8;
 /// load; the three parameterized kinds (timeout clamp, interval floor,
 /// cached-vs-uncached network) keep a branch-free two-entry table each.
 /// [`delay_for`](Self::delay_for) is pinned to the interpreted
-/// [`PredictionConfig::delay_for`] by a `debug_assert` in the kernel's
-/// prediction path and by an exhaustive equivalence test here.
+/// [`PredictionConfig::delay_for`] by an exhaustive equivalence test here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompiledPrediction {
     /// Quantum per kind discriminant. The Timeout slot holds the shallow

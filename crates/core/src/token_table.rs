@@ -102,38 +102,34 @@ impl<V> TokenTable<V> {
     /// Inserts `value` under `key`, returning the previous value if the
     /// key was already present.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
+        // A live key is updated where it lives — ring or overflow — so a
+        // key is never stored twice.
+        if let Some(v) = self.get_mut(key) {
+            return Some(std::mem::replace(v, value));
+        }
         if self.live + 1 > self.slots.len() * GROW_NUM / GROW_DEN {
             self.grow();
         }
         let pos = self.pos(key);
-        match &mut self.slots[pos] {
-            slot @ None => {
-                *slot = Some((key, value));
-                self.live += 1;
-                None
-            }
-            Some((k, v)) if *k == key => Some(std::mem::replace(v, value)),
-            Some(_) => {
+        match self.slots[pos].take() {
+            None => self.slots[pos] = Some((key, value)),
+            Some((old_k, old_v)) => {
                 // The slot is held by a live aliasing key. Keep the ring
                 // slot for the *newer* key (the one the hot window is
-                // about to operate on) and demote the older one.
-                let (old_k, old_v) = self.slots[pos].take().expect("slot occupied");
-                let evicted = if old_k < key {
-                    self.slots[pos] = Some((key, value));
-                    Some((old_k, old_v))
+                // about to operate on) and demote the older one; an
+                // insert older than the resident goes straight to overflow.
+                let (hot, (ek, ev)) = if old_k < key {
+                    ((key, value), (old_k, old_v))
                 } else {
-                    // Inserting a key older than the resident: the resident
-                    // stays hot, the insert goes straight to overflow.
-                    self.slots[pos] = Some((old_k, old_v));
-                    Some((key, value))
+                    ((old_k, old_v), (key, value))
                 };
-                let (ek, ev) = evicted.expect("one entry demoted");
+                self.slots[pos] = Some(hot);
                 let prior = self.overflow.insert(ek, ev);
                 debug_assert!(prior.is_none(), "demoted key already in overflow");
-                self.live += 1;
-                None
             }
         }
+        self.live += 1;
+        None
     }
 
     /// Looks up `key`.
@@ -191,8 +187,8 @@ impl<V> TokenTable<V> {
         }
     }
 
-    /// Visits every live entry (shadow-path verification and tests only;
-    /// visit order is unspecified and must never feed an output path).
+    /// Visits every live entry (tests only; visit order is unspecified
+    /// and must never feed an output path).
     pub fn for_each(&self, mut f: impl FnMut(u64, &V)) {
         for entry in self.slots.iter().flatten() {
             f(entry.0, &entry.1);
@@ -258,6 +254,22 @@ mod tests {
         assert_eq!(t.get(9 + cap), Some(&"resident"));
         assert_eq!(t.get(9), Some(&"straggler"));
         assert_eq!(t.overflow_len(), 1);
+    }
+
+    #[test]
+    fn reinserting_an_overflow_key_updates_it_in_place() {
+        let mut t = TokenTable::new();
+        let cap = t.capacity() as u64;
+        t.insert(4, "old");
+        t.insert(4 + cap, "resident"); // demotes key 4 to overflow
+        assert_eq!(t.insert(4, "new"), Some("old"), "slot held by the resident");
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.remove(4 + cap), Some("resident"));
+        assert_eq!(t.insert(4, "newer"), Some("new"), "slot vacant again");
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.remove(4), Some("newer"));
+        assert_eq!(t.get(4), None, "no second copy left behind");
+        assert!(t.is_empty());
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! across a long run of further events: **zero heap allocations per
 //! steady-state kernel event**.
 //!
-//! The hard assertion only fires in release builds — debug builds keep
-//! the `ShadowedTable` map shadow and the interpreted-prediction cross
-//! checks, which are explicitly allowed to cost. CI runs this test with
-//! `--release` as the `alloc-gate` step of the bench-smoke job; in debug
-//! (`cargo test`) the loop still runs so the path stays covered.
+//! The assertion holds in every build profile: debug builds run the same
+//! dispatch path as release ones, so `cargo test` enforces the gate too.
+//! CI also runs it with `--release` as the `alloc-gate` step of the
+//! bench-smoke job.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,15 +116,6 @@ fn steady_state_events_allocate_nothing() {
         drive(&mut k, &mut rng, &mut buffers, i);
     }
     let delta = allocations() - before;
-
-    if cfg!(debug_assertions) {
-        // Debug builds run the shadow/cross-check paths; the loop above
-        // still covers the production code, but the count is not gated.
-        eprintln!(
-            "[alloc-steady] debug build: {delta} allocations over {MEASURED} events (not gated)"
-        );
-        return;
-    }
     assert_eq!(
         delta, 0,
         "steady-state dispatch allocated {delta} times over {MEASURED} events \

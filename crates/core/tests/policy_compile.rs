@@ -1,8 +1,7 @@
 //! Property tests pitting the compiled policy decision tables against the
 //! interpreted `Condition::matches` reference on arbitrary fact/policy
-//! pairs. The engine's own `debug_assert` re-checks every `decide` call in
-//! test builds; these tests drive the two paths head-to-head over a much
-//! wider input space than the shipped policies cover.
+//! pairs: the two paths head-to-head over a much wider input space than
+//! the shipped policies cover.
 
 use jsk_core::policy::spec::{
     ApiSelector, CallFacts, Condition, PolicyAction, PolicyRule, PolicySpec,

@@ -7,9 +7,10 @@
 //! perturbing it:
 //!
 //! * [`Subscriber`] / [`ObsHandle`] — the hook interface `jsk-core` and
-//!   `jsk-browser` call (behind their `observe` cargo feature) at span,
-//!   instant, and metric sites. Names are [`Sym`]-interned once at attach
-//!   time; hooks pass integers only.
+//!   `jsk-browser` call at span, instant, and metric sites once an
+//!   observer is attached (with none attached, each hook site is one
+//!   `Option` check). Names are [`Sym`]-interned once at attach time;
+//!   hooks pass integers only.
 //! * [`MetricsRegistry`] / [`MetricsSnapshot`] — counters, gauges, and
 //!   fixed-bucket histograms with deterministic JSON export and
 //!   commutative merge (so `JSK_JOBS`-parallel harvests fold
@@ -45,9 +46,9 @@ pub use sym::{Interner, Sym};
 pub use text::render_text;
 
 /// Whether observation is enabled by the environment: `JSK_OBSERVE`
-/// unset, `1`, or `true` → on; `0` or `false` → off. Examples and
-/// harnesses consult this before attaching an observer, so a run can be
-/// de-instrumented without rebuilding.
+/// unset or any other value → on; `0`, `false`, or `off` (surrounding
+/// whitespace ignored) → off. Examples consult this before attaching an
+/// observer, so a run can be de-instrumented without rebuilding.
 #[must_use]
 pub fn enabled_from_env() -> bool {
     match std::env::var("JSK_OBSERVE") {

@@ -1,28 +1,34 @@
-//! Interned metric/span names.
+//! Interned strings: the one `Sym`/`Interner` of the workspace.
 //!
-//! Every span, counter, gauge, and histogram is identified by a [`Sym`]: a
-//! `u32` index into an [`Interner`] owned by the subscriber. Instrumented
-//! code interns each name **once** (at attach time) and then passes the
-//! copyable `Sym` on every hook call, so the hot path never hashes a
-//! string or allocates. The design mirrors `jsk_browser::trace::Interner`,
-//! but lives here so the observability layer sits *below* the browser in
-//! the crate graph and can be depended on by any layer.
+//! Two kinds of names are interned. Every span, counter, gauge, and
+//! histogram is identified by a [`Sym`] from an [`Interner`] owned by the
+//! subscriber: instrumented code interns each name **once** (at attach
+//! time) and then passes the copyable `Sym` on every hook call, so the hot
+//! path never hashes a string or allocates. The browser's API trace
+//! (`jsk_browser::trace`, which re-exports these types) stores its string
+//! payloads the same way, so every trace record is `Copy` and analysis
+//! passes key dedup maps on a `u32`. The types live here so the
+//! observability layer sits *below* the browser in the crate graph and can
+//! be depended on by any layer.
 //!
 //! Symbols are handed out in first-intern order, which is itself
 //! deterministic (instrumented code interns its names in a fixed order at
-//! attach time), so exports keyed by symbol index are bit-identical across
-//! runs and `JSK_JOBS` settings.
+//! attach time; the trace interns in record order), so exports keyed by
+//! symbol index are bit-identical across runs and `JSK_JOBS` settings.
 
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 
-/// An interned name: a cheap, copyable index into an [`Interner`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// An interned string: a cheap, copyable index into an [`Interner`].
+/// Serializes as its raw index; the table travels separately.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Sym(u32);
 
 impl Sym {
-    /// The raw index.
+    /// The raw table index, for keying maps on an integer.
+    #[inline]
     #[must_use]
-    pub fn index(self) -> u32 {
+    pub fn raw(self) -> u32 {
         self.0
     }
 }
@@ -43,11 +49,12 @@ impl Interner {
     }
 
     /// Interns `s`, returning its symbol (existing or freshly assigned).
+    #[inline]
     pub fn intern(&mut self, s: &str) -> Sym {
         if let Some(&i) = self.index.get(s) {
             return Sym(i);
         }
-        let i = u32::try_from(self.strings.len()).expect("interner overflow");
+        let i = u32::try_from(self.strings.len()).expect("interner overflow: > u32::MAX strings");
         self.strings.push(s.to_owned());
         self.index.insert(s.to_owned(), i);
         Sym(i)
@@ -56,7 +63,11 @@ impl Interner {
     /// The string behind a symbol.
     ///
     /// # Panics
-    /// Panics if `sym` was not produced by this interner.
+    ///
+    /// Panics if the symbol came from a different interner (index out of
+    /// range). A foreign symbol with an in-range index resolves to the
+    /// wrong string — symbols are only meaningful with their own table.
+    #[inline]
     #[must_use]
     pub fn resolve(&self, sym: Sym) -> &str {
         &self.strings[sym.0 as usize]
@@ -75,6 +86,33 @@ impl Interner {
     }
 }
 
+/// Two interners are equal when their tables match; the lookup index is
+/// derived state.
+impl PartialEq for Interner {
+    fn eq(&self, other: &Interner) -> bool {
+        self.strings == other.strings
+    }
+}
+
+/// Serializes as the bare string table (the index is rebuilt on read).
+impl Serialize for Interner {
+    fn to_value(&self) -> Value {
+        self.strings.to_value()
+    }
+}
+
+impl Deserialize for Interner {
+    fn from_value(v: &Value) -> Result<Interner, DeError> {
+        let strings = Vec::<String>::from_value(v)?;
+        let index = strings
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.clone(), u32::try_from(i).expect("interner overflow")))
+            .collect();
+        Ok(Interner { strings, index })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,8 +123,8 @@ mod tests {
         let a = i.intern("kernel.dispatch");
         let b = i.intern("policy.decide");
         assert_eq!(a, i.intern("kernel.dispatch"));
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
+        assert_eq!(a.raw(), 0);
+        assert_eq!(b.raw(), 1);
         assert_eq!(i.resolve(b), "policy.decide");
         assert_eq!(i.len(), 2);
     }

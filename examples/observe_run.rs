@@ -18,15 +18,14 @@
 //! (default: current directory). Timestamps are simulated time, so the
 //! trace is byte-identical across machines and `JSK_JOBS` settings.
 
-#[cfg(feature = "observe")]
-fn main() {
-    use jskernel::attacks::cve_exploits::Exploit2018_5092;
-    use jskernel::attacks::harness::CveExploit;
-    use jskernel::browser::browser::Browser;
-    use jskernel::vuln::oracle;
-    use jskernel::DefenseKind;
-    use std::path::PathBuf;
+use jskernel::attacks::cve_exploits::Exploit2018_5092;
+use jskernel::attacks::harness::CveExploit;
+use jskernel::browser::browser::Browser;
+use jskernel::vuln::oracle;
+use jskernel::DefenseKind;
+use std::path::PathBuf;
 
+fn main() {
     let seed = 0x5092;
     let exploit = Exploit2018_5092;
     let defense = DefenseKind::JsKernel;
@@ -116,12 +115,4 @@ fn main() {
     if trace_on {
         println!("load the trace at https://ui.perfetto.dev (or chrome://tracing)");
     }
-}
-
-#[cfg(not(feature = "observe"))]
-fn main() {
-    println!(
-        "the `observe` feature is disabled; rebuild with default features \
-         (cargo run --example observe_run) to record a trace"
-    );
 }

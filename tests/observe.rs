@@ -5,8 +5,6 @@
 //! instrumentation bug, not noise — and the Perfetto export must be a
 //! valid, deterministic Chrome trace.
 
-#![cfg(feature = "observe")]
-
 use jsk_observe::{handle_of, Observer};
 use jskernel::attacks::cve_exploits::Exploit2015_7215;
 use jskernel::attacks::harness::CveExploit;
